@@ -83,8 +83,8 @@ def main() -> int:
     # Sweeps too large to hold resident stream shard by shard instead:
     # each shard's rows are flushed to a columnar store artifact before the
     # next shard starts, so memory stays O(shard_size) while frame() and
-    # the online aggregate remain bit-identical to the unsharded run (see
-    # README "Scaling campaigns").
+    # the online aggregate remain bit-identical to the default-layout run
+    # (see README "Scaling campaigns").
     with Session(policy=ExecutionPolicy(shard_size=4)) as streaming_session:
         streamed = streaming_session.campaign(SPEC, store=store).result()
         print(f"\nstreamed: {streamed.describe()}")

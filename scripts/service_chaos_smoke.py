@@ -19,7 +19,9 @@ correct results, end to end and across real process boundaries:
    quarantine, and an env-armed (``REPRO_FAULTS``) worker killed at a
    flush — each must recover bit-identical to the reference and leave a
    store that ``campaign doctor`` signs off on,
-10. round-trip a tiny job through a live :class:`CampaignService` socket.
+10. start ``spectrends serve`` as a subprocess, round-trip the spec
+    through its socket (dedup on resubmit), send the ``shutdown`` op and
+    require the process to exit 0 with every pool worker gone.
 
 The kill lands wherever it lands — every assertion below holds whether
 the victim died before its first claim, mid-shard, or after finishing.
@@ -51,8 +53,10 @@ from repro.campaign import (
     resume_streaming,
     stream_campaign,
 )
+from repro.errors import CampaignError
 from repro.faults import FaultPlan, RetryPolicy
-from repro.service import CampaignService, ServiceClient
+from repro.service import ServiceClient
+from repro.service.server import read_service_address
 from repro.session.policy import ExecutionPolicy
 
 SPEC = CampaignSpec(
@@ -219,6 +223,61 @@ def run_fault_matrix(root: Path, reference) -> None:
     print("   campaign doctor CLI: corrupt ledger -> 1, --repair -> 0")
 
 
+def wait_for_address(root: Path, server: subprocess.Popen) -> tuple[str, int]:
+    """The address ``serve`` publishes once it accepts connections."""
+    deadline = time.monotonic() + 60
+    while time.monotonic() < deadline:
+        assert server.poll() is None, f"serve exited early: rc={server.returncode}"
+        if (root / "service.json").exists():
+            try:
+                return read_service_address(root)
+            except CampaignError:  # file mid-write: retry
+                pass
+        time.sleep(0.05)
+    raise AssertionError("serve never published service.json")
+
+
+def pid_alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def run_service_round_trip(root: Path, reference) -> None:
+    server = subprocess.Popen(
+        cli("serve", "--root", str(root), "--pool", "2",
+            "--shard-size", str(SHARD_SIZE)),
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+        stdout=subprocess.DEVNULL,
+    )
+    try:
+        host, port = wait_for_address(root, server)
+        client = ServiceClient(host, port, timeout=300.0)
+        job = client.submit(SPEC.to_dict(), workers=2)
+        result = client.wait(job["job"])
+        assert result["state"] == "complete", result
+        assert result["aggregate"] == reference.aggregate.to_dict(), (
+            "service aggregate diverged from the serial reference"
+        )
+        rerun = client.submit(SPEC.to_dict(), workers=2)
+        assert rerun["deduped"] and rerun["job"] == job["job"]
+        print(f"   job {job['job']}: complete, deduped on resubmit")
+        pids = [worker["pid"] for worker in client.stats()["pool"]]
+        assert pids, "stats reported no pool workers"
+        client.shutdown()
+        rc = server.wait(timeout=120)
+        assert rc == 0, f"serve exited {rc} after the shutdown op"
+        leaked = [pid for pid in pids if pid_alive(pid)]
+        assert not leaked, f"pool workers outlived serve: {leaked}"
+        print(f"   serve exited 0 after its drain; pool pids {pids} gone")
+    finally:
+        if server.poll() is None:
+            server.kill()
+            server.wait(timeout=30)
+
+
 def main() -> int:
     # The helpers above read the module globals; main rebinds them to the
     # CLI choice so one knob steers every store in the gate.
@@ -304,22 +363,8 @@ def main() -> int:
     print("== fault-injection matrix: site x kind, recover, doctor sign-off")
     run_fault_matrix(root, reference)
 
-    print("== service round-trip: submit the same spec over the socket")
-    service = CampaignService(root / "service", shard_size=SHARD_SIZE)
-    host, port = service.start()
-    try:
-        client = ServiceClient(host, port, timeout=300.0)
-        job = client.submit(SPEC.to_dict(), workers=2)
-        result = client.wait(job["job"])
-        assert result["state"] == "complete", result
-        assert result["aggregate"] == reference.aggregate.to_dict(), (
-            "service aggregate diverged from the serial reference"
-        )
-        rerun = client.submit(SPEC.to_dict(), workers=2)
-        assert rerun["deduped"] and rerun["job"] == job["job"]
-        print(f"   job {job['job']}: complete, deduped on resubmit")
-    finally:
-        service.stop()
+    print("== service round-trip: `serve` subprocess, submit, shutdown")
+    run_service_round_trip(root / "service", reference)
 
     print("chaos gate passed")
     return 0

@@ -3,23 +3,26 @@
 A *campaign* explores many simulation scenarios at once: a
 :class:`CampaignSpec` declares sweeps over catalog generations, node counts,
 :class:`~repro.simulator.director.SimulationOptions` fields, load-level sets
-and seeds; expansion produces content-addressed units; the runner executes
-the missing ones in parallel; results accumulate into one analysis
-:class:`~repro.frame.Frame` that flows straight into
+and seeds; expansion produces content-addressed units; one streamed
+executor runs the missing ones shard by shard, flushing each shard's rows
+to a columnar artifact in the campaign store; the shards concatenate into
+one analysis :class:`~repro.frame.Frame` that flows straight into
 :func:`repro.api.analyze`.
 
 Layers
 ------
 * :mod:`repro.campaign.spec` — declarative sweep spec with grid/zip expansion,
 * :mod:`repro.campaign.cache` — content-hash keys and the on-disk result store,
-* :mod:`repro.campaign.runner` — batched parallel execution with per-unit
-  error capture,
+* :mod:`repro.campaign.runner` — batched parallel unit execution with
+  per-unit error capture, and :func:`run_campaign`, which returns the
+  streamed run with its rows materialised as one resident frame,
 * :mod:`repro.campaign.aggregate` — incremental columnar frame assembly,
 * :mod:`repro.campaign.store` — resumable campaign directories (spec
-  snapshot, manifest, ledger, shard manifest),
-* :mod:`repro.campaign.sharding` — the bounded-memory streaming path:
-  lazy fixed-size shards, each flushed to a columnar ``.npz`` artifact,
-  executed serially or fanned out across a worker pool,
+  snapshot, manifest with the shard layout, ledger, shard manifest),
+* :mod:`repro.campaign.sharding` — the executor: lazy fixed-size shards
+  (``DEFAULT_SHARD_SIZE`` units unless a layout is given), each flushed to
+  a columnar ``.npz`` artifact, executed serially or fanned out across a
+  worker pool,
 * :mod:`repro.campaign.leases` — lease records in the shard ledger that
   let cooperating worker processes claim shards and reclaim the work of
   crashed peers (with heartbeat renewal distinguishing slow from hung),
@@ -52,7 +55,7 @@ from .cache import ResultCache, unit_key
 from .doctor import DoctorIssue, DoctorReport, doctor_store
 from .leases import DEFAULT_LEASE_TTL, Lease, LeaseHeartbeat, LeaseLedger
 from .reduce import FrameReducer, OnlineMoments, reduce_frame
-from .runner import CampaignResult, execute_units, resume_campaign, run_campaign
+from .runner import CampaignResult, resume_campaign, run_campaign
 from .sharding import (
     DEFAULT_SHARD_SIZE,
     Shard,
@@ -79,7 +82,6 @@ __all__ = [
     "assemble_frame",
     "summarize_store",
     "CampaignResult",
-    "execute_units",
     "run_campaign",
     "resume_campaign",
     "Shard",

@@ -1,4 +1,4 @@
-"""Batched campaign execution over the parallel executor.
+"""Campaign unit execution and the resident result view.
 
 The workers are module-level functions of one picklable payload tuple, so
 the process back-end of :mod:`repro.parallel` can ship them to a pool.  Each
@@ -15,10 +15,16 @@ the scalar path would produce, so cache keys and cached rows are strategy
 independent).  ``batch=False`` forces the scalar per-unit path, and a chunk
 whose batch simulation fails falls back to scalar execution so errors stay
 attributed to individual units.
+
+Every campaign runs through the one streamed executor,
+:func:`~repro.campaign.sharding.stream_campaign`.  :func:`run_campaign` and
+:func:`resume_campaign` are that executor plus :class:`CampaignResult`, the
+view that materialises the shard artifacts into one resident frame.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import traceback
 from dataclasses import dataclass, replace
@@ -34,14 +40,12 @@ from ..reportgen.textreport import render_report
 from ..session.policy import ExecutionPolicy
 from ..simulator.batch import BatchDirector
 from ..simulator.director import RunDirector
-from .aggregate import assemble_frame
+from .sharding import StreamingCampaignResult, resume_streaming, stream_campaign
 from .spec import CampaignSpec, CampaignUnit
-from .store import CampaignStore
 
 __all__ = [
     "CampaignResult",
     "dispatch_simulations",
-    "execute_units",
     "run_campaign",
     "resume_campaign",
 ]
@@ -49,28 +53,55 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CampaignResult:
-    """Outcome of one :func:`run_campaign` invocation."""
+    """A streamed campaign run viewed as one resident frame.
 
-    frame: Frame
-    total_units: int
-    cache_hits: int
-    simulated: int
-    failures: tuple[tuple[str, str], ...]  # (unit_id, error)
-    store_directory: str
+    The view :func:`run_campaign`, :func:`resume_campaign` and unsharded
+    session handles return.  :attr:`streamed` supplies every counter;
+    :attr:`frame` concatenates its shard artifacts on first access, so a
+    caller that only reads counters never holds the plan's rows.
+    """
+
+    streamed: StreamingCampaignResult
+
+    @functools.cached_property
+    def frame(self) -> Frame:
+        return self.streamed.frame()
+
+    @property
+    def total_units(self) -> int:
+        return self.streamed.total_units
+
+    @property
+    def cache_hits(self) -> int:
+        return self.streamed.cache_hits
+
+    @property
+    def simulated(self) -> int:
+        return self.streamed.simulated
+
+    @property
+    def failures(self) -> tuple[tuple[str, str], ...]:  # (unit_id, error)
+        return self.streamed.failures
+
+    @property
+    def store_directory(self) -> str:
+        return self.streamed.store_directory
 
     @property
     def completed(self) -> int:
-        return len(self.frame)
+        return self.streamed.completed
 
     def describe(self) -> str:
-        lines = [
-            f"{self.total_units} units: {self.cache_hits} cached, "
-            f"{self.simulated} simulated, {len(self.failures)} failed "
-            f"({self.completed} rows in {self.store_directory})"
-        ]
-        for unit_id, error in self.failures:
-            lines.append(f"  failed {unit_id}: {error}")
-        return "\n".join(lines)
+        return self.streamed.describe()
+
+    def write_csv(self, path: str | os.PathLike) -> int:
+        """Write :attr:`frame` to a CSV file; returns the rows written.
+
+        Unlike the shard-by-shard streamed export, shards whose columns
+        differ are unioned, as :func:`~repro.frame.concat` does.
+        """
+        self.frame.to_csv(path)
+        return len(self.frame)
 
 
 # --------------------------------------------------------------------------- #
@@ -165,10 +196,9 @@ def dispatch_simulations(
 ) -> list[tuple[str, dict | None, str | None]]:
     """Run one batch of units through the selected kernel.
 
-    The single dispatch point shared by :func:`execute_units` and the
-    sharded streaming runner, so kernel-selection semantics (chunk payload
-    grouping, the no-re-chunk outer map) can never diverge between the
-    resident and streaming paths.
+    The single dispatch point of the streamed runner, the lease-coordinated
+    workers and the service pool, so kernel-selection semantics (chunk
+    payload grouping, the no-re-chunk outer map) are the same everywhere.
     """
     from ..obs.trace import get_tracer
 
@@ -192,81 +222,6 @@ def dispatch_simulations(
         return parallel_map(_simulate_unit, payloads, config=config)
 
 
-def execute_units(
-    units: tuple[CampaignUnit, ...],
-    store: CampaignStore,
-    parallel: ParallelConfig | None = None,
-    catalog: Catalog | None = None,
-    max_units: int | None = None,
-    batch: bool = True,
-    policy: ExecutionPolicy | None = None,
-) -> CampaignResult:
-    """Run whatever is missing from the store's cache and assemble the frame.
-
-    ``max_units`` bounds the number of *new* simulations this invocation
-    performs (smoke runs; also how the tests emulate an interrupted
-    campaign) — remaining units stay pending for the next run.  ``batch``
-    selects the vectorized :class:`BatchDirector` execution strategy
-    (default); pass ``False`` to force the scalar per-unit path.  A
-    :class:`~repro.session.policy.ExecutionPolicy` subsumes both knobs:
-    when given, it overrides ``parallel`` and ``batch``.
-    """
-    if policy is not None:
-        parallel = policy.parallel_config()
-        batch = policy.use_batch_kernel
-    cache = store.cache
-    rows_by_key: dict[str, dict] = {}
-    pending: list[CampaignUnit] = []
-    for unit in units:
-        row = cache.get(unit.key)
-        if row is not None:
-            rows_by_key[unit.key] = row
-        else:
-            pending.append(unit)
-    cache_hits = len(rows_by_key)
-
-    if max_units is not None:
-        pending = pending[:max_units]
-
-    config = parallel or ParallelConfig(backend="serial")
-    if config.backend != "serial":
-        # The executor's serial-fallback threshold is tuned for cheap
-        # per-file work; a campaign unit is a whole benchmark simulation, so
-        # even a handful of units is worth the pool — and the batch size
-        # below would otherwise sit exactly at the default threshold,
-        # silently running every batch serially.
-        config = replace(config, serial_threshold=0)
-    # Units are executed in batches and each batch is persisted before the next
-    # starts: a campaign killed mid-run keeps every completed batch, so
-    # ``resume`` only re-simulates from the last flush onward.
-    batch_size = max(config.chunk_size * config.effective_workers, 1)
-
-    failures: list[tuple[str, str]] = []
-    by_key = {unit.key: unit for unit in units}
-    for start in range(0, len(pending), batch_size):
-        flush_units = pending[start : start + batch_size]
-        outcomes = dispatch_simulations(flush_units, config, batch, catalog)
-        for key, row, error in outcomes:
-            unit = by_key[key]
-            if error is None:
-                cache.put(key, row)
-                rows_by_key[key] = row
-                store.record(unit)
-            else:
-                failures.append((unit.unit_id, error))
-                store.record(unit, error=error)
-
-    frame = assemble_frame(units, rows_by_key)
-    return CampaignResult(
-        frame=frame,
-        total_units=len(units),
-        cache_hits=cache_hits,
-        simulated=len(pending) - len(failures),
-        failures=tuple(failures),
-        store_directory=str(store.directory),
-    )
-
-
 def run_campaign(
     spec: CampaignSpec,
     store_dir: str | os.PathLike,
@@ -281,14 +236,19 @@ def run_campaign(
     Completed units are content-hash cache hits and are never re-simulated;
     invoking this twice over the same store performs zero new simulations
     the second time.  ``batch=False`` opts out of the vectorized kernel;
-    a ``policy`` overrides both ``parallel`` and ``batch``.
+    a ``policy`` overrides both ``parallel`` and ``batch`` and supplies the
+    shard layout, retry and fault knobs.  Execution is
+    :func:`~repro.campaign.sharding.stream_campaign` at the policy's layout
+    (default :data:`~repro.campaign.sharding.DEFAULT_SHARD_SIZE`), so a
+    killed run keeps every flushed shard.
     """
-    units = spec.expand(catalog)
-    store = CampaignStore(store_dir)
-    store.initialize(spec, units)
-    return execute_units(
-        units, store, parallel=parallel, catalog=catalog, max_units=max_units,
-        batch=batch, policy=policy,
+    if policy is not None:
+        parallel, batch = policy.parallel_config(), policy.use_batch_kernel
+    return CampaignResult(
+        stream_campaign(
+            spec, store_dir, parallel=parallel, catalog=catalog,
+            max_units=max_units, batch=batch, policy=policy,
+        )
     )
 
 
@@ -300,11 +260,16 @@ def resume_campaign(
     batch: bool = True,
     policy: ExecutionPolicy | None = None,
 ) -> CampaignResult:
-    """Continue an interrupted campaign from its on-disk spec snapshot."""
-    store = CampaignStore(store_dir)
-    spec = store.load_spec()
-    units = spec.expand(catalog)
-    return execute_units(
-        units, store, parallel=parallel, catalog=catalog, max_units=max_units,
-        batch=batch, policy=policy,
+    """Continue an interrupted campaign from its on-disk spec snapshot.
+
+    Resumes at the shard layout recorded in the store (see
+    :func:`~repro.campaign.sharding.resume_streaming`).
+    """
+    if policy is not None:
+        parallel, batch = policy.parallel_config(), policy.use_batch_kernel
+    return CampaignResult(
+        resume_streaming(
+            store_dir, parallel=parallel, catalog=catalog,
+            max_units=max_units, batch=batch, policy=policy,
+        )
     )

@@ -1,8 +1,9 @@
-"""Sharded, streaming campaign execution: sweep size O(shard) in memory.
+"""The campaign executor: sharded, streaming, sweep size O(shard) in memory.
 
-:func:`run_campaign` materialises every expanded unit and every result row
-at once, which caps sweep size by RAM.  This module is the bounded-memory
-path through the same data plane:
+Every campaign runs through this module; a request without a shard layout
+streams at :data:`DEFAULT_SHARD_SIZE`, and :func:`~repro.campaign.runner
+.run_campaign` is this executor plus a frame materialised from the shard
+artifacts.  The pieces:
 
 * :func:`iter_shards` partitions a spec's expansion into fixed-size
   :class:`Shard`\\ s **lazily** — it drives
@@ -27,16 +28,16 @@ path through the same data plane:
 Equivalence contract
 --------------------
 Sharding changes *when* rows leave memory, never *what* they are.  Unit
-keys, cached rows and the per-shard frames are exactly what the unsharded
-runner produces, shard concatenation reproduces the unsharded campaign
-frame bit-for-bit, and the sequential reducers make the streamed aggregate
-bit-identical to reducing that frame in one pass (all pinned by the
-sharding tests and ``benchmarks/test_bench_shard.py``).  Worker pools keep
-the contract because aggregation never happens in workers: they only
-populate shard artifacts (deterministic, content-addressed), and the
-coordinator folds those artifacts in shard-index order exactly like a
-serial run — so an N-worker run is bit-identical to the 1-worker run and
-to the unsharded reduction.
+keys and cached rows do not depend on the layout, shard concatenation
+reproduces the same campaign frame for any shard size, and the sequential
+reducers make the streamed aggregate bit-identical to reducing that frame
+in one pass (all pinned by the sharding tests and
+``benchmarks/test_bench_shard.py``).  Worker pools keep the contract
+because aggregation never happens in workers: they only populate shard
+artifacts (deterministic, content-addressed), and the coordinator folds
+those artifacts in shard-index order exactly like a serial run — so an
+N-worker run is bit-identical to the 1-worker run and to reducing the
+materialised frame.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from ..parallel import ParallelConfig
 from ..session.artifacts import ArtifactStore, digest_json
 from ..session.columnar import frame_from_arrays, frame_to_arrays
 from ..session.policy import ExecutionPolicy
-from .aggregate import FrameAccumulator, annotate_row
+from .aggregate import assemble_frame
 from .leases import DEFAULT_LEASE_TTL, LeaseHeartbeat, LeaseLedger
 from .reduce import FrameReducer
 from .spec import CampaignSpec, CampaignUnit
@@ -187,13 +188,12 @@ class ShardOutcome:
 class StreamingCampaignResult:
     """Outcome of one :func:`stream_campaign` invocation.
 
-    Unlike :class:`~repro.campaign.runner.CampaignResult` there is no
-    resident campaign frame — rows live in the store's per-shard ``.npz``
-    artifacts, and :attr:`aggregate` carries the streamed column summary
-    (count / sum / mean / min / max / var per numeric column).
-    :meth:`iter_frames` re-streams the rows shard by shard;
-    :meth:`frame` materialises them all (only do that at sizes where the
-    unsharded runner would have been fine too).
+    There is no resident campaign frame — rows live in the store's
+    per-shard ``.npz`` artifacts, and :attr:`aggregate` carries the
+    streamed column summary (count / sum / mean / min / max / var per
+    numeric column).  :meth:`iter_frames` re-streams the rows shard by
+    shard; :meth:`frame` materialises them all, which is what
+    :class:`~repro.campaign.runner.CampaignResult` holds.
     """
 
     total_units: int
@@ -273,9 +273,8 @@ class StreamingCampaignResult:
         """The full campaign frame, concatenated from the shard artifacts.
 
         Materialises every row — O(plan) memory, exactly what streaming
-        avoids — so reserve this for sweep sizes the unsharded runner could
-        also hold.  The result is bit-identical to the unsharded
-        :attr:`CampaignResult.frame` of the same spec.
+        avoids — so reserve this for sweep sizes that fit in memory.  The
+        result is bit-identical for every shard layout of the same spec.
         """
         return concat(list(self.iter_frames()))
 
@@ -523,12 +522,7 @@ def _flush_shard(
                 quarantined.update(store.quarantine_keys())
 
         assembly_start = time.perf_counter()
-        accumulator = FrameAccumulator()
-        for unit in shard.units:
-            row = rows_by_key.get(unit.key)
-            if row is not None:
-                accumulator.add_row(annotate_row(row, unit))
-        frame = accumulator.to_frame()
+        frame = assemble_frame(shard.units, rows_by_key)
         assembly_s = time.perf_counter() - assembly_start
 
         artifact_key = shard.artifact_key()
@@ -966,10 +960,10 @@ def stream_campaign(
     cheap).
 
     ``max_units`` bounds new simulation *attempts* across the whole run
-    (failures count — matching :func:`~repro.campaign.runner.execute_units`);
-    once spent, later shards are still visited cache-only so the result
-    stays a full progress report.  ``max_shards`` stops after that many
-    shards entirely (smoke runs; also how tests emulate a killed campaign).
+    (failures count); once spent, later shards are still visited
+    cache-only so the result stays a full progress report.  ``max_shards``
+    stops after that many shards entirely (smoke runs; also how tests
+    emulate a killed campaign).
     ``progress`` is invoked after every shard with its outcome and the
     total shard count (the CLI's streaming status line).  A ``policy``
     supplies ``parallel``/``batch``/``shard_size``/``workers`` defaults;
@@ -1078,8 +1072,9 @@ def _stream_campaign(
 
     config = parallel or ParallelConfig(backend="serial")
     if config.backend != "serial":
-        # A campaign unit is a whole benchmark simulation; see execute_units
-        # for why the executor's cheap-work serial threshold must not apply.
+        # The executor's serial-fallback threshold is tuned for cheap
+        # per-file work; a campaign unit is a whole benchmark simulation, so
+        # even a handful of units is worth the pool.
         config = replace(config, serial_threshold=0)
 
     total_units = spec.n_units
@@ -1135,8 +1130,7 @@ def _stream_campaign(
                     quarantined=quarantined_keys,
                 )
                 if budget is not None:
-                    # Attempts spend the budget, successful or not, mirroring
-                    # the unsharded runner's pending[:max_units] semantics.
+                    # Attempts spend the budget, successful or not.
                     budget -= outcome.simulated + len(outcome.failures)
             outcomes.append(outcome)
             failures.extend(outcome.failures)

@@ -5,17 +5,22 @@ interrupted campaign without the original process:
 
 * ``spec.json`` — snapshot of the :class:`CampaignSpec` (``resume`` re-expands
   it instead of trusting in-memory state),
-* ``manifest.json`` — the expanded unit list (ids, keys, parameters), written
-  before execution starts so ``status`` can report progress against the full
-  grid even mid-run,
+* ``manifest.json`` — a light manifest (unit count, shard layout, shared
+  results directory if any), written before execution starts; it never
+  lists the units, so its size does not grow with the plan,
 * ``results/`` — the content-addressed :class:`ResultCache`,
 * ``ledger.jsonl`` — append-only per-unit outcome log (``ok`` / ``failed``
   with the captured error), the record of *attempts* as opposed to the
   cache's record of *successes*,
-* ``shards.jsonl`` + ``shards/`` — present for sharded streaming runs: the
-  append-only shard manifest (latest entry per shard index wins) and the
-  content-addressed per-shard columnar frame artifacts it points into, the
-  state that lets ``resume`` restart at shard granularity.
+* ``shards.jsonl`` + ``shards/`` — the append-only shard manifest (latest
+  entry per shard index wins) and the content-addressed per-shard columnar
+  frame artifacts it points into, the state that lets ``resume`` restart
+  at shard granularity.
+
+Stores written before the shard layout was recorded carry a per-unit
+``units`` list in ``manifest.json`` and no ``shards.jsonl``; ``status``
+reads them from the spec snapshot, cache and ledger, and ``resume``
+completes them at the default layout.
 
 Because results are keyed by content and the ledger is append-only, a store
 survives being killed at any point: the next run simply simulates whatever
@@ -67,11 +72,11 @@ SHARD_SCHEMA = 1
 
 @dataclass(frozen=True)
 class ShardProgress:
-    """Shard-level progress of a streaming store's flush pipeline.
+    """Shard-level progress of a store's flush pipeline.
 
-    ``status`` on a resident (non-sharded) store carries no shard
-    progress; for streaming stores this is what makes ``campaign status``
-    and ``campaign watch`` agree — both read the same shard manifest.
+    Stores that recorded no shard layout carry no shard progress;
+    otherwise this is what makes ``campaign status`` and ``campaign
+    watch`` agree — both read the same shard manifest.
     """
 
     total: int
@@ -147,9 +152,9 @@ class CampaignStore:
         directory: str | os.PathLike,
         results_dir: str | os.PathLike | None = None,
     ):
-        # The directory is created by ``initialize`` (and lazily by cache
-        # writes), never by construction: ``status`` on a mistyped path must
-        # not scaffold an empty store.
+        # The directory is created by ``initialize_streaming`` (and lazily
+        # by cache writes), never by construction: ``status`` on a mistyped
+        # path must not scaffold an empty store.
         self.directory = Path(directory)
         self._explicit_results_dir = (
             Path(results_dir) if results_dir is not None else None
@@ -175,12 +180,15 @@ class CampaignStore:
             return stored
         return self.directory / "results"
 
-    def _stored_results_dir(self) -> Path | None:
+    def _manifest(self) -> dict[str, Any]:
+        """The manifest document; empty when missing or unreadable."""
         try:
-            data = self._read_json(self.manifest_path, "missing", "manifest")
+            return self._read_json(self.manifest_path, "missing", "manifest")
         except CampaignError:
-            return None
-        value = data.get("results_dir")
+            return {}
+
+    def _stored_results_dir(self) -> Path | None:
+        value = self._manifest().get("results_dir")
         if isinstance(value, str) and value:
             return Path(value)
         return None
@@ -237,11 +245,16 @@ class CampaignStore:
         return store
 
     # ------------------------------------------------------------------ #
-    def _write_spec_snapshot(self, spec: CampaignSpec) -> None:
-        """Record the spec snapshot, rejecting a conflicting existing one.
+    def initialize_streaming(self, spec: CampaignSpec, shard_size: int) -> None:
+        """Record the spec snapshot and a *light* manifest (no unit list).
 
-        A store only ever belongs to one spec; initialising with a different
-        one is an error (use a fresh directory per campaign).
+        A store only ever belongs to one spec; initialising with a
+        different one is an error (use a fresh directory per campaign).
+        The executor never materialises the full expansion, so the
+        manifest holds only the unit count and the shard layout —
+        O(plan)-sized per-unit metadata would defeat the bounded-memory
+        contract.  ``status`` and ``resume`` work from the cache, the
+        ledger and the shard manifest instead.
         """
         self.directory.mkdir(parents=True, exist_ok=True)
         if self.spec_path.exists():
@@ -256,36 +269,6 @@ class CampaignStore:
                 json.dumps(spec.to_dict(), indent=2, sort_keys=True),
                 encoding="utf-8",
             )
-
-    def initialize(self, spec: CampaignSpec, units: tuple[CampaignUnit, ...]) -> None:
-        """Record the spec snapshot and full unit manifest before execution."""
-        self._write_spec_snapshot(spec)
-        manifest = {
-            "name": spec.name,
-            "units": [
-                {
-                    "index": unit.index,
-                    "unit_id": unit.unit_id,
-                    "key": unit.key,
-                    "params": {k: _jsonable(v) for k, v in unit.params.items()},
-                }
-                for unit in units
-            ],
-        }
-        self.manifest_path.write_text(
-            json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8"
-        )
-
-    def initialize_streaming(self, spec: CampaignSpec, shard_size: int) -> None:
-        """Record the spec snapshot and a *light* manifest (no unit list).
-
-        A sharded streaming run never materialises the full expansion, so
-        the manifest holds only the unit count and the shard layout —
-        O(plan)-sized per-unit metadata would defeat the bounded-memory
-        contract.  ``status`` and ``resume`` work from the cache, the
-        ledger and the shard manifest instead.
-        """
-        self._write_spec_snapshot(spec)
         manifest: dict[str, Any] = {
             "name": spec.name,
             "n_units": spec.n_units,
@@ -299,11 +282,7 @@ class CampaignStore:
 
     def stored_shard_size(self) -> int | None:
         """The shard layout the store was last initialised with, if any."""
-        try:
-            data = self._read_json(self.manifest_path, "missing", "manifest")
-        except CampaignError:
-            return None
-        sharded = data.get("sharded")
+        sharded = self._manifest().get("sharded")
         if isinstance(sharded, Mapping):
             size = sharded.get("shard_size")
             if isinstance(size, int) and size >= 1:
@@ -328,15 +307,6 @@ class CampaignStore:
         )
         return CampaignSpec.from_dict(data)
 
-    def load_manifest(self) -> list[dict[str, Any]]:
-        """Per-unit manifest entries; empty for light (streaming) manifests."""
-        data = self._read_json(
-            self.manifest_path,
-            f"{self.directory} has no manifest; run the campaign first",
-            "manifest",
-        )
-        return data.get("units", [])
-
     # ------------------------------------------------------------------ #
     @staticmethod
     def _ledger_entry(unit: CampaignUnit, error: str | None) -> dict[str, Any]:
@@ -349,17 +319,13 @@ class CampaignStore:
             entry["error"] = error
         return entry
 
-    def record(self, unit: CampaignUnit, error: str | None = None) -> None:
-        """Append one attempt outcome to the ledger."""
-        append_jsonl(self.ledger_path, [self._ledger_entry(unit, error)])
-
     def record_many(
         self, outcomes: "Iterable[tuple[CampaignUnit, str | None]]"
     ) -> None:
         """Append a batch of attempt outcomes as one atomic write.
 
-        The streaming runner flushes one shard at a time; a single
-        ``O_APPEND`` write per shard keeps ledger bookkeeping cheap at
+        The executor flushes one shard at a time; a single ``O_APPEND``
+        write per shard keeps ledger bookkeeping cheap at
         100k-unit scale *and* keeps concurrent workers' batches contiguous.
         """
         append_jsonl(
@@ -496,17 +462,13 @@ class CampaignStore:
     def shard_progress(self) -> "ShardProgress | None":
         """Shard-level progress from the manifest + shard log (or ``None``).
 
-        Only streaming stores have a shard layout; resident stores return
-        ``None`` so ``status`` keeps its unit-level shape for them.
+        Stores written before the layout was recorded return ``None``, so
+        ``status`` keeps its unit-level shape for them.
         """
         shard_size = self.stored_shard_size()
         if shard_size is None:
             return None
-        try:
-            data = self._read_json(self.manifest_path, "missing", "manifest")
-        except CampaignError:
-            return None
-        n_units = int(data.get("n_units", 0))
+        n_units = int(self._manifest().get("n_units", 0))
         total = -(-n_units // shard_size) if n_units else 0
         complete = 0
         partial = 0
@@ -527,20 +489,13 @@ class CampaignStore:
 
     # ------------------------------------------------------------------ #
     def status(self) -> CampaignStatus:
-        """Progress against the manifest, from cache + ledger state.
+        """Progress against the spec snapshot, from cache + ledger state.
 
-        Full manifests are walked unit by unit.  Light (streaming)
-        manifests carry no unit list, so completion is counted from the
-        cache and failures from the ledger — same numbers, O(completed)
-        instead of O(plan) metadata.
+        The total is the snapshot's unit count; completion is counted from
+        the cache and failures from the ledger, O(completed) rather than
+        O(plan) metadata.
         """
         spec = self.load_spec()
-        data = self._read_json(
-            self.manifest_path,
-            f"{self.directory} has no manifest; run the campaign first",
-            "manifest",
-        )
-        manifest = data.get("units")
         last_error: dict[str, str] = {}
         unit_ids: dict[str, str] = {}
         for entry in self.ledger_entries():
@@ -549,45 +504,30 @@ class CampaignStore:
                 last_error[entry["key"]] = entry.get("error", "unknown error")
             else:
                 last_error.pop(entry["key"], None)
-        completed = 0
-        failures: list[tuple[str, str]] = []
-        if manifest is None:
-            total = int(data.get("n_units", 0))
-            if self.uses_shared_results:
-                # A shared cache holds other campaigns' units too, so cache
-                # membership overcounts; rows flushed into *this* store's
-                # shard artifacts is the per-campaign completion count.
-                completed = sum(
-                    int(entry.get("n_rows", 0))
-                    for entry in self.shard_entries().values()
-                )
-            else:
-                completed = sum(1 for _ in self.cache.keys())
-            for key, error in last_error.items():
-                if key not in self.cache:
-                    failures.append((unit_ids[key], error))
+        if self.uses_shared_results:
+            # A shared cache holds other campaigns' units too, so cache
+            # membership overcounts; rows flushed into *this* store's shard
+            # artifacts is the per-campaign completion count.
+            completed = sum(
+                int(entry.get("n_rows", 0))
+                for entry in self.shard_entries().values()
+            )
         else:
-            total = len(manifest)
-            for unit in manifest:
-                if unit["key"] in self.cache:
-                    completed += 1
-                elif unit["key"] in last_error:
-                    failures.append((unit["unit_id"], last_error[unit["key"]]))
+            completed = sum(1 for _ in self.cache.keys())
+        failures = [
+            (unit_ids[key], error)
+            for key, error in last_error.items()
+            if key not in self.cache
+        ]
         quarantined = {
             key for key in self.quarantine_keys() if key not in self.cache
         }
         return CampaignStatus(
             name=spec.name,
-            total=total,
+            total=spec.n_units,
             completed=completed,
             failed=len(failures),
             failures=tuple(failures),
             shards=self.shard_progress(),
             quarantined=len(quarantined),
         )
-
-
-def _jsonable(value: Any) -> Any:
-    if isinstance(value, tuple):
-        return list(value)
-    return value

@@ -21,10 +21,10 @@ Sub-commands mirror the stages of the paper's artifact:
   Figures 1–6 as SVG + CSV,
 * ``spectrends table1`` — print the Table I comparison,
 * ``spectrends campaign run|status|resume --store store/`` — execute a
-  declarative scenario sweep with content-hash caching and resumption
-  (``--shard-size N`` streams it shard by shard in bounded memory, with a
-  status line per flushed shard; ``--workers N`` fans the shards out
-  across lease-coordinated worker processes),
+  declarative scenario sweep with content-hash caching and resumption,
+  streamed shard by shard in bounded memory (``--shard-size N`` sets the
+  layout and prints a status line per flushed shard; ``--workers N`` fans
+  the shards out across lease-coordinated worker processes),
 * ``spectrends campaign worker --store store/`` — attach one more worker
   to a store another invocation is executing (or left unfinished),
 * ``spectrends campaign query --store store/ --where "watts > 250"`` —
@@ -220,16 +220,17 @@ def build_parser() -> argparse.ArgumentParser:
                            "vectorized batch kernel")
     crun.add_argument("--shard-size", type=_positive_int, default=None,
                       help="execute the sweep in shards of N units, flushing "
-                           "each shard to the store before the next starts "
-                           "(bounded-memory streaming; default: unsharded)")
+                           "each shard to the store before the next starts, "
+                           "with a status line per shard (default: 1024, "
+                           "no status lines)")
     crun.add_argument("--workers", type=_positive_int, default=None,
                       help="fan shards out across N lease-coordinated worker "
                            "processes (requires --shard-size; results are "
                            "bit-identical to the serial run)")
     crun.add_argument("--retries", type=_positive_int, default=None,
                       help="attempts per unit before it is quarantined as a "
-                           "poison unit (requires --shard-size; default: one "
-                           "attempt, failures stay pending)")
+                           "poison unit (default: one attempt, failures stay "
+                           "pending)")
     _add_session_flags(crun)
     cresume = csub.add_parser(
         "resume", help="continue an interrupted campaign from its store"
@@ -243,13 +244,13 @@ def build_parser() -> argparse.ArgumentParser:
     cresume.add_argument("--shard-size", type=_positive_int, default=None,
                          help="resume shard by shard with this layout "
                               "(default: the layout recorded in the store, "
-                              "else unsharded)")
+                              "else 1024)")
     cresume.add_argument("--workers", type=_positive_int, default=None,
                          help="resume with N lease-coordinated worker "
-                              "processes (sharded stores only)")
+                              "processes")
     cresume.add_argument("--retries", type=_positive_int, default=None,
                          help="attempts per unit before it is quarantined as "
-                              "a poison unit (sharded stores only)")
+                              "a poison unit")
     _add_session_flags(cresume)
     cworker = csub.add_parser(
         "worker",
@@ -614,68 +615,41 @@ def _dispatch(session, args: argparse.Namespace) -> int:
                         file=sys.stderr,
                     )
                     return 2
-                if args.retries is not None and args.shard_size is None:
-                    print(
-                        "error: --retries needs --shard-size (retry rounds "
-                        "and quarantine are per-shard mechanics)",
-                        file=sys.stderr,
-                    )
-                    return 2
                 handle = session.campaign(
                     args.spec,
                     store=args.store,
                     max_units=args.max_units,
-                    progress=_shard_progress,
+                    # Per-shard status lines only where a layout was asked
+                    # for; a default-layout run prints its summary alone.
+                    progress=_shard_progress if args.shard_size else None,
                     workers=args.workers,
                 )
                 result = handle.result()
             else:  # resume
-                from ..campaign import (
-                    CampaignStore,
-                    resume_campaign,
-                    resume_streaming,
-                )
+                from ..campaign import resume_streaming
 
-                # A store that recorded a shard layout resumes at shard
-                # granularity; --shard-size overrides (or enables) it.
-                shard_size = args.shard_size
-                if shard_size is None:
-                    shard_size = CampaignStore(args.store).stored_shard_size()
-                if shard_size is not None:
-                    result = resume_streaming(
-                        args.store,
-                        shard_size=shard_size,
-                        max_units=args.max_units,
-                        policy=session.policy,
-                        progress=_shard_progress,
-                        workers=args.workers,
-                    )
-                else:
-                    result = resume_campaign(
-                        args.store,
-                        max_units=args.max_units,
-                        policy=session.policy,
-                    )
+                # The layout recorded in the store, unless --shard-size
+                # overrides it.
+                result = resume_streaming(
+                    args.store,
+                    shard_size=args.shard_size,
+                    max_units=args.max_units,
+                    policy=session.policy,
+                    progress=_shard_progress,
+                    workers=args.workers,
+                )
         except CampaignError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         print(result.describe())
         if args.csv:
-            from ..campaign import StreamingCampaignResult
-
             # Streaming CSV export re-reads the shard artifacts, so it can
             # hit the same store corruption the run/resume block guards —
             # keep it one clean line too.
             try:
-                if isinstance(result, StreamingCampaignResult):
-                    if result.completed:
-                        rows = result.write_csv(args.csv)
-                        print(f"wrote {rows} rows to {args.csv}")
-                    else:
-                        print(f"no completed units; {args.csv} not written")
-                elif len(result.frame):
-                    result.frame.to_csv(args.csv)
-                    print(f"wrote {len(result.frame)} rows to {args.csv}")
+                if result.completed:
+                    rows = result.write_csv(args.csv)
+                    print(f"wrote {rows} rows to {args.csv}")
                 else:
                     print(f"no completed units; {args.csv} not written")
             except CampaignError as exc:

@@ -134,6 +134,8 @@ class CampaignService:
         self._server.service = self  # type: ignore[attr-defined]
         self._serve_thread: threading.Thread | None = None
         self._stopped = threading.Event()
+        self._drained = threading.Event()
+        self.drain_failed = False
 
     def _jobs_snapshot(self) -> list[Job]:
         with self._lock:
@@ -176,14 +178,23 @@ class CampaignService:
         silent: it is logged to stderr **and** raised as
         :class:`~repro.errors.CampaignError`, because a leaked scheduler
         thread (or a hung worker join) means the process must not be
-        trusted to exit cleanly.
+        trusted to exit cleanly.  A second, concurrent call waits for the
+        first one's drain instead of returning early.
         """
         if self._stopped.is_set():
+            self._drained.wait()
             return
         self._stopped.set()
-        self._server.shutdown()
-        self._server.server_close()
-        if not self._scheduler.stop(timeout=self.drain_timeout):
+        try:
+            self._server.shutdown()
+            self._server.server_close()
+            self.drain_failed = not self._scheduler.stop(timeout=self.drain_timeout)
+        except BaseException:
+            self.drain_failed = True
+            raise
+        finally:
+            self._drained.set()
+        if self.drain_failed:
             message = (
                 f"service drain did not complete within {self.drain_timeout:.0f}s: "
                 "the scheduler/finalizer thread is still alive (wedged shard "
@@ -193,8 +204,12 @@ class CampaignService:
             raise CampaignError(message)
 
     def wait(self) -> None:
-        """Block until :meth:`stop` is called (e.g. by a shutdown op)."""
-        self._stopped.wait()
+        """Block until :meth:`stop` (e.g. run by a shutdown op) has drained.
+
+        Returns only once the scheduler thread has exited and the worker
+        pool is joined, or the drain has failed (:attr:`drain_failed`).
+        """
+        self._drained.wait()
 
     # -- job management -------------------------------------------------- #
     def submit(
@@ -478,7 +493,8 @@ def serve_forever(
 
     SIGTERM (the orchestrator's polite kill) triggers the same graceful
     drain as the ``shutdown`` op: in-flight shards finish, running jobs
-    flip to ``cancelled`` with resumable stores, then the process exits.
+    flip to ``cancelled`` with resumable stores, then the process exits —
+    0 once the drain has completed, 1 if it failed.
     """
     service = CampaignService(
         root,
@@ -513,7 +529,7 @@ def serve_forever(
         service._stop_quietly()
     finally:
         signal.signal(signal.SIGTERM, previous)
-    return 0
+    return 1 if service.drain_failed else 0
 
 
 def read_service_address(root: str | os.PathLike) -> tuple[str, int]:

@@ -572,11 +572,12 @@ class CampaignHandle(ArtifactHandle):
 
     @property
     def shard_size(self) -> int | None:
-        """Units per shard, or ``None`` for unsharded execution.
+        """Units per shard, or ``None`` for the default layout.
 
         An explicit ``session.campaign(..., shard_size=)`` wins; otherwise
         the session policy's shard layout (``shard_size`` clamped by
-        ``max_resident_results``) applies.
+        ``max_resident_results``) applies.  ``None`` streams at
+        :data:`~repro.campaign.sharding.DEFAULT_SHARD_SIZE`.
         """
         if self._explicit_shard_size is not None:
             return self._explicit_shard_size
@@ -584,7 +585,12 @@ class CampaignHandle(ArtifactHandle):
 
     @property
     def sharded(self) -> bool:
-        """Whether ``result()`` runs the streaming (bounded-memory) path."""
+        """Whether ``result()`` returns the streamed view (rows on disk).
+
+        Execution is the same streamed path either way; an unsharded handle
+        returns a :class:`~repro.campaign.runner.CampaignResult`, the
+        streamed result with its rows materialised as one frame.
+        """
         return self.shard_size is not None
 
     @property
@@ -607,7 +613,7 @@ class CampaignHandle(ArtifactHandle):
         # The same spec executed into two different stores produces two
         # distinct on-disk artifacts: the memo must not serve one store's
         # result for the other.  The shard layout is folded in as well —
-        # a sharded run returns a StreamingCampaignResult (rows on disk),
+        # a sharded handle returns a StreamingCampaignResult (rows on disk),
         # an unsharded one a CampaignResult (resident frame), and the memo
         # must never hand out one in place of the other.
         from .artifacts import digest_json
@@ -635,41 +641,31 @@ class CampaignHandle(ArtifactHandle):
         return super().result()
 
     def _compute(self) -> "CampaignResult | StreamingCampaignResult":
+        from ..campaign import CampaignResult, stream_campaign
+
         policy = self._session.policy
-        if self.sharded:
-            from ..campaign import stream_campaign
-
-            return stream_campaign(
-                self.spec,
-                self.store_dir,
-                parallel=policy.parallel_config(),
-                catalog=self._session._worker_catalog(),
-                shard_size=self.shard_size,
-                max_units=self.max_units,
-                batch=policy.use_batch_kernel,
-                progress=self._progress,
-                workers=self.workers,
-                retry=policy.retry,
-                policy=policy if policy.faults is not None else None,
-            )
-        from ..campaign import run_campaign
-
-        return run_campaign(
+        result = stream_campaign(
             self.spec,
             self.store_dir,
             parallel=policy.parallel_config(),
             # None for the default catalog keeps worker payloads small.
             catalog=self._session._worker_catalog(),
+            shard_size=self.shard_size,
             max_units=self.max_units,
             batch=policy.use_batch_kernel,
+            progress=self._progress,
+            workers=self.workers,
+            retry=policy.retry,
+            policy=policy if policy.faults is not None else None,
         )
+        return result if self.sharded else CampaignResult(result)
 
     # ------------------------------------------------------------------ #
     def frame(self) -> Frame:
         result = self.result()
         if self.sharded:
-            # Materialises every shard — only sensible at sizes the
-            # unsharded runner could also hold.
+            # Materialises every shard — only sensible at sizes that fit
+            # in memory.
             return result.frame()
         return result.frame
 
@@ -679,55 +675,41 @@ class CampaignHandle(ArtifactHandle):
 
         return CampaignStore(self.store_dir).status()
 
-    def resume(
-        self, max_units: int | None = None
-    ) -> "CampaignResult | StreamingCampaignResult":
-        """Continue an interrupted campaign; refreshes the session memo."""
+    def resume(self, max_units: int | None = None) -> "StreamingCampaignResult":
+        """Continue an interrupted campaign; refreshes the session memo.
+
+        The layout is, in order: an explicit handle layout, the layout
+        recorded in the store (the precondition for shard-granular
+        skipping), the policy's (so a store that recorded none still keeps
+        the ``max_resident_results`` budget), else the default.  Returns the
+        streamed result, which is memoized only for sharded handles — whose
+        ``result()`` is that same view.
+        """
+        from ..campaign import CampaignStore, resume_streaming
+
         policy = self._session.policy
-        from ..campaign import CampaignStore
-
-        # A store that recorded a shard layout must resume streaming even
-        # when this handle is unsharded: a resident resume_campaign over a
-        # streamed 100k-unit store would materialise the whole plan and
-        # defeat the bounded-memory contract the layout was recorded for.
-        stored_layout = CampaignStore(self.store_dir).stored_shard_size()
-        if self.sharded or stored_layout is not None:
-            from ..campaign import resume_streaming
-
-            # An explicitly requested layout wins; otherwise resume with
-            # the layout the interrupted run recorded (the precondition for
-            # shard-granular skipping), falling back to the policy's.
-            shard_size = self._explicit_shard_size
-            if shard_size is None:
-                shard_size = stored_layout or policy.effective_shard_size
-            result = resume_streaming(
-                self.store_dir,
-                parallel=policy.parallel_config(),
-                catalog=self._session._worker_catalog(),
-                shard_size=shard_size,
-                max_units=max_units,
-                batch=policy.use_batch_kernel,
-                progress=self._progress,
-                # A capped resume is a budgeted top-up; fan-out is for
-                # full runs only (caps are per-run, not per-worker).
-                workers=None if max_units is not None else self.workers,
-                retry=policy.retry,
-                policy=policy if policy.faults is not None else None,
+        shard_size = self._explicit_shard_size
+        if shard_size is None:
+            shard_size = (
+                CampaignStore(self.store_dir).stored_shard_size()
+                or policy.effective_shard_size
             )
-        else:
-            from ..campaign import resume_campaign
-
-            result = resume_campaign(
-                self.store_dir,
-                parallel=policy.parallel_config(),
-                catalog=self._session._worker_catalog(),
-                max_units=max_units,
-                batch=policy.use_batch_kernel,
-            )
+        result = resume_streaming(
+            self.store_dir,
+            parallel=policy.parallel_config(),
+            catalog=self._session._worker_catalog(),
+            shard_size=shard_size,
+            max_units=max_units,
+            batch=policy.use_batch_kernel,
+            progress=self._progress,
+            # A capped resume is a budgeted top-up; fan-out is for full
+            # runs only (caps are per-run, not per-worker).
+            workers=None if max_units is not None else self.workers,
+            retry=policy.retry,
+            policy=policy if policy.faults is not None else None,
+        )
         # Only a complete, unbounded result may stand in for the artifact;
-        # a bounded resume is partial progress, not the campaign.  A
-        # streaming result produced for an unsharded handle (stored layout
-        # override) must not impersonate the resident artifact either.
-        if max_units is None and (self.sharded or stored_layout is None):
+        # a bounded resume is partial progress, not the campaign.
+        if max_units is None and self.sharded:
             self._session._memo_put(self.kind, self._memo_key, result)
         return result

@@ -65,11 +65,12 @@ class ExecutionPolicy:
         (``None`` uses the :class:`ParallelConfig` default; ``0`` forces
         pool dispatch for any input size).
     shard_size:
-        Units per shard for campaign execution.  ``None`` (default) runs
-        campaigns unsharded (the whole expansion and every result resident);
-        any value routes campaigns through the sharded streaming runner,
-        which caps resident memory at O(shard_size) by flushing each
-        shard's rows to the store before the next shard starts.
+        Units per shard for campaign execution.  Every campaign streams
+        shard by shard, flushing each shard's rows to the store before the
+        next starts, so resident memory is O(shard_size).  ``None``
+        (default) streams at ``DEFAULT_SHARD_SIZE`` (1024) and hands the
+        caller the rows as one resident frame; any value hands back the
+        streamed result and enables the multi-worker fan-out below.
     max_resident_results:
         Upper bound on result rows resident at once.  Enables sharding by
         itself and clamps ``shard_size`` from above, so a policy can state
@@ -82,10 +83,9 @@ class ExecutionPolicy:
         what is computed — traced and untraced results are bit-identical.
     retry:
         A :class:`~repro.faults.RetryPolicy` enabling per-unit retry
-        rounds with backoff and poison-unit quarantine for sharded
-        campaigns.  ``None`` (default) keeps the historical behaviour:
-        one attempt per unit per pass, failures recorded but never
-        quarantined.
+        rounds with backoff and poison-unit quarantine for campaigns.
+        ``None`` (default) keeps the historical behaviour: one attempt per
+        unit per pass, failures recorded but never quarantined.
     faults:
         A :class:`~repro.faults.FaultPlan` (or inline JSON / file path /
         mapping, as ``REPRO_FAULTS`` accepts) installed for the duration
@@ -167,7 +167,7 @@ class ExecutionPolicy:
 
     @property
     def sharded(self) -> bool:
-        """Whether campaigns run through the sharded streaming path."""
+        """Whether the policy names a shard layout (streamed result view)."""
         return self.shard_size is not None or self.max_resident_results is not None
 
     @property
@@ -176,8 +176,9 @@ class ExecutionPolicy:
 
         A policy asks for the multi-worker shard scheduler by combining
         ``mode="process"`` (worker processes), an explicit ``workers`` count
-        above one, and a sharded layout — shards are the unit of
-        distribution, so unsharded campaigns ignore this entirely.  Each
+        above one, and an explicit shard layout — shards are the unit of
+        distribution, so campaigns without a layout never spawn a pool
+        (their ``process`` mode parallelises units inside each shard).  Each
         spawned worker executes its claimed shards serially; the
         parallelism lives at the worker level (``campaign/sharding.py``).
         """
@@ -195,7 +196,7 @@ class ExecutionPolicy:
         """Units per shard after applying the residency budget, if sharded.
 
         ``max_resident_results`` clamps ``shard_size`` from above and
-        enables sharding on its own; ``None`` means unsharded execution.
+        enables sharding on its own; ``None`` means the default layout.
         """
         if not self.sharded:
             return None

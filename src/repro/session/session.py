@@ -516,11 +516,14 @@ class Session:
         ``workload`` preset supplies base values for option axes the spec
         leaves unset.
 
-        ``shard_size`` routes execution through the sharded streaming
-        runner (resident memory O(shard_size), result a
-        :class:`~repro.campaign.sharding.StreamingCampaignResult`); the
-        session policy's ``shard_size``/``max_resident_results`` supply the
-        default.  ``workers`` fans a sharded run out across that many
+        Every campaign streams shard by shard (resident memory
+        O(shard_size)).  ``shard_size`` sets the layout and makes the result
+        the :class:`~repro.campaign.sharding.StreamingCampaignResult`;
+        without one the run streams at the default layout and the result is
+        the :class:`~repro.campaign.runner.CampaignResult` view with its
+        rows as one frame.  The session policy's
+        ``shard_size``/``max_resident_results`` supply the default.
+        ``workers`` fans a sharded run out across that many
         lease-coordinated worker processes (default: the policy's
         ``campaign_workers``); results are bit-identical for any worker
         count, so like every execution knob it stays out of the keys.
@@ -542,7 +545,7 @@ class Session:
         # store than the full run that later completes it.  The shard layout
         # is likewise excluded here (rows and store placement are layout
         # independent) — but it *is* folded into the handle's memo key,
-        # because sharded and unsharded runs return different result types.
+        # because handles with and without a layout return different views.
         key = digest_json(
             {
                 "stage": "campaign",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 
 import pytest
 
@@ -12,7 +13,6 @@ from repro.campaign import (
     CampaignStore,
     FrameAccumulator,
     ResultCache,
-    execute_units,
     resume_campaign,
     run_campaign,
     unit_key,
@@ -168,6 +168,33 @@ class TestCache:
         assert len(changed) == 1
         assert spec.expand(default)[changed[0]].params["cpu_model"] == GENERATIONS[0]
 
+    def test_key_independent_of_process_history(self):
+        # 0 == 0.0 in Python but the canonical forms differ; a unit's key
+        # (and so its run_id and RNG seed) must depend on the spec alone,
+        # not on which equal value this process keyed first.
+        import subprocess
+        import sys
+
+        def spec(sigma):
+            return CampaignSpec(
+                name="sigma", sweep={"cpu_model": GENERATIONS[:1], "seed": [1]},
+                base={**FAST_BASE, "calibration_noise_sigma": sigma},
+            )
+
+        warm = spec(0.0).expand()[0].key
+        later = spec(0).expand()[0].key
+        code = (
+            "from repro.campaign import CampaignSpec; import sys, json; "
+            "spec = CampaignSpec.from_dict(json.loads(sys.argv[1])); "
+            "print(spec.expand()[0].key)"
+        )
+        fresh = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(spec(0).to_dict())],
+            check=True, capture_output=True, text=True,
+        ).stdout.strip()
+        assert later == fresh
+        assert spec(0.0).expand()[0].key == warm
+
     def test_key_independent_of_campaign_name(self):
         a = small_spec(name="alpha").expand()
         b = small_spec(name="beta").expand()
@@ -284,7 +311,7 @@ class TestRunner:
         assert len(resumed.frame) == 9
         assert CampaignStore(store_dir).status().is_complete
 
-    def test_unit_failure_captured_without_aborting(self, tmp_path):
+    def test_unit_failure_captured_without_aborting(self, tmp_path, monkeypatch):
         from dataclasses import replace
 
         spec = small_spec(name="faulty", seeds=(1,))
@@ -297,9 +324,11 @@ class TestRunner:
             plan=bad_plan, options=units[1].options, seed=units[1].seed,
         )
         units = (units[0], broken, units[2])
+        monkeypatch.setattr(
+            CampaignSpec, "iter_units", lambda self, catalog=None: iter(units)
+        )
+        result = run_campaign(spec, tmp_path / "store")
         store = CampaignStore(tmp_path / "store")
-        store.initialize(spec, units)
-        result = execute_units(units, store)
         assert result.simulated == 2
         assert len(result.failures) == 1
         assert "unknown CPU model" in result.failures[0][1]
@@ -348,9 +377,8 @@ class TestStore:
     def test_store_rejects_conflicting_spec(self, completed_campaign):
         spec, store_dir, _ = completed_campaign
         other = small_spec(seeds=(4, 5, 6))
-        store = CampaignStore(store_dir)
         with pytest.raises(CampaignError, match="different spec"):
-            store.initialize(other, other.expand())
+            run_campaign(other, store_dir)
 
     def test_status_on_non_store_directory(self, tmp_path):
         with pytest.raises(CampaignError, match="no spec.json"):
@@ -363,6 +391,80 @@ class TestStore:
             handle.write('{"unit_id": "torn", "key": "abc",')  # killed mid-write
         status = store.status()  # does not raise
         assert status.completed == 9
+
+
+def downgrade_to_pre_layout_store(store_dir, spec: CampaignSpec) -> None:
+    """Rewrite a store into the shape written before shard layouts existed.
+
+    Those stores listed every unit in ``manifest.json``, recorded no
+    ``sharded`` layout and had no shard manifest, artifacts or event log.
+    """
+    units = [
+        {
+            "index": unit.index,
+            "unit_id": unit.unit_id,
+            "key": unit.key,
+            "params": {
+                k: list(v) if isinstance(v, tuple) else v
+                for k, v in unit.params.items()
+            },
+        }
+        for unit in spec.expand()
+    ]
+    (store_dir / "manifest.json").write_text(
+        json.dumps({"name": spec.name, "units": units}, indent=2, sort_keys=True),
+        encoding="utf-8",
+    )
+    (store_dir / "shards.jsonl").unlink()
+    (store_dir / "events.jsonl").unlink()
+    shutil.rmtree(store_dir / "shards")
+
+
+class TestPreLayoutStores:
+    def test_status_and_resume_of_store_without_layout(self, tmp_path, capsys):
+        from repro.frame.csvio import frame_to_csv_text
+
+        spec = small_spec(name="pre-layout", seeds=(91, 92))
+        store_dir = tmp_path / "store"
+        original = run_campaign(spec, store_dir).frame  # before the rewrite
+        before = CampaignStore(store_dir).status()
+        downgrade_to_pre_layout_store(store_dir, spec)
+        assert CampaignStore(store_dir).stored_shard_size() is None
+
+        after = CampaignStore(store_dir).status()
+        assert (after.total, after.completed, after.failed) == (
+            before.total, before.completed, before.failed,
+        ) == (6, 6, 0)
+        assert cli_main(["campaign", "status", "--store", str(store_dir)]) == 0
+        assert "6/6 units completed, 0 pending, 0 failed" in capsys.readouterr().out
+
+        csv = tmp_path / "rows.csv"
+        assert cli_main(["campaign", "resume", "--store", str(store_dir),
+                         "--csv", str(csv)]) == 0
+        assert "6 cached, 0 simulated" in capsys.readouterr().out
+        assert csv.read_text(encoding="utf-8") == frame_to_csv_text(original)
+        resumed = resume_campaign(store_dir)
+        assert resumed.simulated == 0
+        assert resumed.frame.equals(original)
+        assert CampaignStore(store_dir).status().is_complete
+
+    def test_session_resume_keeps_policy_budget(self, tmp_path):
+        # A store that recorded no layout resumes at the policy's layout,
+        # so max_resident_results still bounds the shard in flight.
+        from repro.session import ExecutionPolicy, Session
+
+        spec = small_spec(name="pre-layout-budget", seeds=(93, 94))
+        store_dir = tmp_path / "store"
+        original = run_campaign(spec, store_dir, max_units=2).frame
+        assert len(original) == 2
+        downgrade_to_pre_layout_store(store_dir, spec)
+
+        policy = ExecutionPolicy(max_resident_results=2)
+        with Session(workspace=tmp_path / "ws", policy=policy) as session:
+            result = session.campaign(spec, store=store_dir).resume()
+        assert CampaignStore(store_dir).stored_shard_size() == 2
+        assert (result.shard_size, result.total_shards) == (2, 3)
+        assert (result.completed, result.cache_hits, result.simulated) == (6, 2, 4)
 
 
 # --------------------------------------------------------------------------- #

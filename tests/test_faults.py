@@ -360,6 +360,32 @@ class TestQuarantine:
         assert healed.frame().equals(clean_run.frame())
         assert healed.aggregate.equals(clean_run.aggregate)
 
+    def test_cli_retries_without_shard_size_degrade(self, tmp_path):
+        # Retry rounds and quarantine run at the default layout too: no
+        # --shard-size is needed for --retries.
+        spec = fault_spec(name="cli-retries")
+        poison_key = spec.expand()[2].key
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec.to_dict()), encoding="utf-8")
+        store_dir = tmp_path / "s"
+        faults = {
+            "rules": [{"site": "unit.execute", "kind": "raise", "where": poison_key}]
+        }
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli.main", "campaign", "run",
+             "--spec", str(spec_path), "--store", str(store_dir), "--retries", "2"],
+            env=_worker_env(faults),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr  # the poison unit failed
+        assert "status degraded: 1 unit(s) quarantined" in proc.stdout
+        store = CampaignStore(store_dir)
+        assert store.quarantine_keys() == {poison_key}
+        assert store.quarantine_entries()[-1]["attempts"] == 2
+        assert store.status().is_degraded
+
     def test_quarantine_skipped_units_never_redispatch(self, tmp_path):
         spec = fault_spec()
         poison_key = spec.expand()[0].key

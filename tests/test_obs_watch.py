@@ -76,8 +76,14 @@ class TestStoreEvents:
         assert "shards: 2/3 complete" in status.describe()
 
     def test_resident_store_reports_no_shard_progress(self, tmp_path):
+        # A store written before shard layouts were recorded: a per-unit
+        # manifest with no ``sharded`` key.
         store_dir = tmp_path / "store"
         run_campaign(watch_spec(), store_dir)
+        units = [{"key": unit.key} for unit in watch_spec().expand()]
+        (store_dir / "manifest.json").write_text(
+            json.dumps({"name": "watch-test", "units": units}), encoding="utf-8"
+        )
         status = CampaignStore(store_dir).status()
         assert status.shards is None
         assert "shards:" not in status.describe()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import os
 
 import pytest
 
@@ -176,6 +177,35 @@ class TestServiceShutdown:
         client.shutdown()
         service.wait()  # returns because the shutdown op fired stop()
         assert service._stopped.is_set()
+
+    def test_wait_returns_only_after_the_drain(self, tmp_path):
+        # The shutdown op drains on a background thread; wait() must not
+        # return before that drain has joined the scheduler and the pool.
+        service = CampaignService(tmp_path / "root", shard_size=2, pool=2)
+        host, port = service.start()
+        client = ServiceClient(host, port)
+        pids = [worker["pid"] for worker in client.stats()["pool"]]
+        assert len(pids) == 2
+        client.shutdown()
+        service.wait()
+        assert not service._scheduler._thread.is_alive()
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)  # joined and reaped, not merely signalled
+        assert not service.drain_failed
+
+    def test_failed_drain_is_reported_not_waited_on(self, tmp_path):
+        service = CampaignService(tmp_path / "root", shard_size=2, pool=1)
+        service.start()
+        real_stop = service._scheduler.stop
+        service._scheduler.stop = lambda timeout: False  # a wedged drain
+        try:
+            with pytest.raises(CampaignError, match="drain did not complete"):
+                service.stop()
+            service.wait()  # the drain is over, though it failed
+            assert service.drain_failed
+        finally:
+            real_stop()
 
     def test_read_address_missing_root_errors(self, tmp_path):
         with pytest.raises(CampaignError, match="no service address"):
